@@ -16,7 +16,9 @@ Writes ``BENCH_kernels.json`` at the repository root with five sections:
   bit-identical always; the ≥ 1.5× speedup gate only applies on
   multi-core runners (a single-core box cannot speed up).
 * **cover** — solver-bound branch-and-bound set-cover instances: identical
-  selections asserted, compiled speedup ≥ 2×.
+  selections asserted, total search nodes per backend recorded and
+  asserted equal (every backend searches the same tree), compiled
+  speedup ≥ 2×.
 * **dynamics** — one full best-response dynamics run per backend *and per
   thread configuration* on a local-knowledge instance, trajectories
   asserted identical end to end (final profile, rounds, changes, metrics).
@@ -243,6 +245,10 @@ def _bench_cover(compiled) -> dict:
         r.selected == c.selected and r.objective == c.objective
         for r, c in zip(reference, candidate)
     )
+    nodes = {
+        "numpy": sum(r.nodes for r in reference),
+        compiled.name: sum(c.nodes for c in candidate),
+    }
     return {
         "instances": COVER_INSTANCES,
         "candidates": COVER_CANDIDATES,
@@ -252,6 +258,8 @@ def _bench_cover(compiled) -> dict:
         "compiled_s": round(compiled_s, 4),
         "speedup": round(numpy_s / compiled_s, 2),
         "identical_selections": identical,
+        "nodes": nodes,
+        "identical_nodes": len(set(nodes.values())) == 1,
     }
 
 
@@ -328,6 +336,7 @@ def test_bench_kernels(benchmark):
     assert report["bfs_reduce"]["identical_to_numpy_reference"]
     assert report["threads"]["identical_results"]
     assert report["cover"]["identical_selections"]
+    assert report["cover"]["identical_nodes"]
     assert report["dynamics"]["identical_trajectories"]
     # The acceptance gates.
     assert report["bfs"]["speedup"] >= 5.0

@@ -57,7 +57,7 @@ from repro.core.strategies import StrategyProfile
 from repro.core.views import View, extract_view
 from repro.graphs.graph import Node
 from repro.graphs.traversal import UNREACHABLE, distance_matrix
-from repro.kernels import KernelBackend
+from repro.kernels import KernelBackend, resolve_backend
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
     SetCoverInstance,
@@ -338,6 +338,8 @@ def best_response_max(
                 RuntimeWarning,
                 stacklevel=2,
             )
+    # Resolved once here, not once per kernel call below.
+    backend = resolve_backend(backend)
     view, current = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy
     )

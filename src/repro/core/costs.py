@@ -37,11 +37,13 @@ reachable.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.cost_models import STRICT, CostModel
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
 from repro.graphs.graph import Graph, Node
-from repro.graphs.traversal import bfs_distances
+from repro.graphs.traversal import bfs_distances, reduce_bfs_distances
 
 __all__ = [
     "building_cost",
@@ -107,10 +109,26 @@ def player_cost(
 
 
 def all_player_costs(profile: StrategyProfile, game: GameSpec) -> dict[Node, float]:
-    """Return ``{player: C_u(σ)}`` for every player."""
-    graph = profile.graph()
+    """Return ``{player: C_u(σ)}`` for every player.
+
+    Equal, player by player, to :func:`player_cost`, but the usages come
+    from one fused kernel sweep over every source
+    (:func:`~repro.graphs.traversal.reduce_bfs_distances`), folded through
+    the cost model's vectorised :meth:`~repro.core.cost_models.CostModel.fold_max`
+    / ``fold_sum`` instead of one Python BFS per player.
+    """
+    indptr, indices, nodes = profile.graph().to_csr_arrays()
+    ecc, sums, unreached, _ = reduce_bfs_distances(
+        indptr, indices, np.arange(len(nodes), dtype=np.int64)
+    )
+    if game.usage is UsageKind.MAX:
+        usages = game.cost_model.fold_max(ecc, unreached)
+    else:
+        usages = game.cost_model.fold_sum(sums, unreached)
+    usage_of = dict(zip(nodes, usages.tolist()))
     return {
-        player: player_cost(profile, player, game, graph=graph) for player in profile
+        player: building_cost(profile, player, game.alpha) + usage_of[player]
+        for player in profile
     }
 
 

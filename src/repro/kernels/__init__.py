@@ -78,8 +78,12 @@ sum_out, unreached_out, view_size_out)``
 ``cover_search(coverage, order_by_size, best_size, best_selection)``
     ``coverage`` a ``(num_candidates, num_elements)`` boolean/uint8
     matrix, ``order_by_size`` the candidate iteration order, and the
-    incumbent to beat; returns the tightened ``(size, selection)``
-    (unchanged objects when nothing smaller exists).
+    incumbent to beat; returns ``(size, selection, nodes)``: the
+    tightened incumbent (unchanged objects when nothing smaller exists)
+    and the number of search nodes entered.  The node count is part of
+    the contract: every backend searches the same tree (see
+    :func:`repro.kernels.numpy_backend.cover_search`), so it is
+    identical across backends too.
 
 To add another backend (Cython, Rust over cffi, …): implement the
 functions above with bit-identical semantics, raise
@@ -277,18 +281,22 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def _try_build(name: str, threads: int = 1) -> KernelBackend | None:
-    factory = _FACTORIES[name]
-    if not _factory_takes_threads(factory):
-        threads = 1
+    # Cache hits skip the factory signature inspection: every solver call
+    # resolves its backend, and inspecting costs more than a small solve.
     key = (name, threads)
     if key in _BUILT:
         return _BUILT[key]
-    try:
-        backend = factory(threads) if _factory_takes_threads(factory) else factory()
-    except KernelUnavailableError:
-        backend = None
-    _BUILT[key] = backend
-    return backend
+    factory = _FACTORIES[name]
+    takes_threads = _factory_takes_threads(factory)
+    build_key = key if takes_threads else (name, 1)
+    if build_key not in _BUILT:
+        try:
+            _BUILT[build_key] = factory(threads) if takes_threads else factory()
+        except KernelUnavailableError:
+            _BUILT[build_key] = None
+    # A thread-blind factory's single build also answers this thread count.
+    _BUILT[key] = _BUILT[build_key]
+    return _BUILT[key]
 
 
 def get_backend(name: str, threads: int | None = None) -> KernelBackend:

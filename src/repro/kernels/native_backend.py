@@ -12,9 +12,9 @@ backend as unavailable and the registry falls back (see
 
 The ``bfs`` and ``cover_search`` kernels implement *exactly* the
 algorithms of :mod:`repro.kernels.numpy_backend` — same traversal order,
-same branching element, same candidate order, same incumbent updates — so
-distances, selected covers and every downstream tie-break are
-bit-identical to the numpy reference (pinned by
+same branching element, same candidate order, same incumbent updates and
+pruning — so distances, selected covers, search node counts and every
+downstream tie-break are bit-identical to the numpy reference (pinned by
 ``tests/graphs/test_kernel_backends.py`` and
 ``tests/solvers/test_set_cover.py``).  The fused ``bfs_reduce`` kernel is
 free to traverse in a different *order* — it is an MS-BFS, advancing 64
@@ -229,17 +229,21 @@ void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
 }
 
 /* Branch-and-bound set-cover recursion, mirroring the numpy reference
- * step for step: most-constrained element (first minimum in element
- * order), candidates tried in order_by_size order, incumbent updated
- * only on strictly smaller covers.
+ * step for step: most-constrained element (first minimum of the
+ * whole-free-set candidate counts, in element order), candidates tried in
+ * order_by_size order, incumbent updated only on strictly smaller covers.
+ * A chosen candidate covers no remaining element, so it never covers the
+ * branching element and needs no "already chosen" test.
  */
 typedef struct {
     const uint8_t *coverage;   /* (num_free, num_elements) row-major 0/1 */
     int64_t num_free;
     int64_t num_elements;
     const int64_t *order_by_size;
+    const int64_t *element_counts; /* covering candidates per element */
     int64_t best_size;
     int64_t best_len;          /* -1 until the search improves the incumbent */
+    int64_t nodes;             /* search nodes entered */
     int32_t *best_selection;   /* out buffer, num_free entries */
     int32_t *chosen;           /* depth buffer, num_free + 1 entries */
     uint8_t *remaining_stack;  /* (num_free + 2, num_elements) row-major */
@@ -248,6 +252,7 @@ typedef struct {
 static void cover_recurse(cover_ctx *ctx, int64_t depth) {
     const int64_t num_elements = ctx->num_elements;
     const uint8_t *remaining = ctx->remaining_stack + depth * num_elements;
+    ctx->nodes += 1;
     int64_t num_remaining = 0;
     for (int64_t e = 0; e < num_elements; ++e)
         num_remaining += remaining[e];
@@ -279,31 +284,15 @@ static void cover_recurse(cover_ctx *ctx, int64_t depth) {
     /* Most-constrained element: fewest covering candidates, first minimum
      * in element order (numpy's argmin over the remaining columns). */
     int64_t element = -1;
-    int64_t element_count = -1;
     for (int64_t e = 0; e < num_elements; ++e) {
-        if (!remaining[e])
-            continue;
-        int64_t count = 0;
-        for (int64_t c = 0; c < ctx->num_free; ++c)
-            count += (int64_t)ctx->coverage[c * num_elements + e];
-        if (element_count < 0 || count < element_count) {
-            element_count = count;
+        if (remaining[e] &&
+            (element < 0 || ctx->element_counts[e] < ctx->element_counts[element]))
             element = e;
-        }
     }
     uint8_t *next_remaining = ctx->remaining_stack + (depth + 1) * num_elements;
     for (int64_t pos = 0; pos < ctx->num_free; ++pos) {
         int64_t cand = ctx->order_by_size[pos];
         if (!ctx->coverage[cand * num_elements + element])
-            continue;
-        int already = 0;
-        for (int64_t i = 0; i < depth; ++i) {
-            if (ctx->chosen[i] == (int32_t)cand) {
-                already = 1;
-                break;
-            }
-        }
-        if (already)
             continue;
         const uint8_t *cov = ctx->coverage + cand * num_elements;
         for (int64_t e = 0; e < num_elements; ++e)
@@ -316,20 +305,29 @@ static void cover_recurse(cover_ctx *ctx, int64_t depth) {
 int64_t repro_cover_search(const uint8_t *coverage, int64_t num_free,
                            int64_t num_elements, const int64_t *order_by_size,
                            int64_t best_size, int32_t *best_selection,
-                           int32_t *chosen, uint8_t *remaining_stack) {
+                           int32_t *chosen, uint8_t *remaining_stack,
+                           int64_t *element_counts, int64_t *nodes_out) {
     cover_ctx ctx;
     ctx.coverage = coverage;
     ctx.num_free = num_free;
     ctx.num_elements = num_elements;
     ctx.order_by_size = order_by_size;
+    ctx.element_counts = element_counts;
     ctx.best_size = best_size;
     ctx.best_len = -1;
+    ctx.nodes = 0;
     ctx.best_selection = best_selection;
     ctx.chosen = chosen;
     ctx.remaining_stack = remaining_stack;
-    for (int64_t e = 0; e < num_elements; ++e)
+    for (int64_t e = 0; e < num_elements; ++e) {
         remaining_stack[e] = 1;
+        element_counts[e] = 0;
+    }
+    for (int64_t c = 0; c < num_free; ++c)
+        for (int64_t e = 0; e < num_elements; ++e)
+            element_counts[e] += coverage[c * num_elements + e];
     cover_recurse(&ctx, 0);
+    *nodes_out = ctx.nodes;
     return ctx.best_len;
 }
 """
@@ -430,7 +428,7 @@ def load_library() -> ctypes.CDLL:
     library.repro_bfs_reduce.restype = None
     library.repro_cover_search.argtypes = [
         _U8, ctypes.c_int64, ctypes.c_int64, _I64,
-        ctypes.c_int64, _I32, _I32, _U8,
+        ctypes.c_int64, _I32, _I32, _U8, _I64, _I64,
     ]
     library.repro_cover_search.restype = ctypes.c_int64
     _library = library
@@ -581,7 +579,7 @@ def cover_search(
     order_by_size: np.ndarray,
     best_size: int,
     best_selection: list[int] | None,
-) -> tuple[int, list[int] | None]:
+) -> tuple[int, list[int] | None, int]:
     """Branch-and-bound recursion in C; same contract as the numpy backend."""
     library = load_library()
     num_free, num_elements = coverage.shape
@@ -590,6 +588,8 @@ def cover_search(
     selection = np.empty(num_free + 1, dtype=np.int32)
     chosen = np.empty(num_free + 1, dtype=np.int32)
     remaining_stack = np.empty((num_free + 2) * num_elements, dtype=np.uint8)
+    element_counts = np.empty(num_elements, dtype=np.int64)
+    nodes = np.zeros(1, dtype=np.int64)
     found = int(
         library.repro_cover_search(
             _as_ptr(cover_bytes, _U8),
@@ -600,8 +600,10 @@ def cover_search(
             _as_ptr(selection, _I32),
             _as_ptr(chosen, _I32),
             _as_ptr(remaining_stack, _U8),
+            _as_ptr(element_counts, _I64),
+            _as_ptr(nodes, _I64),
         )
     )
     if found < 0:
-        return best_size, best_selection
-    return found, [int(idx) for idx in selection[:found]]
+        return best_size, best_selection, int(nodes[0])
+    return found, [int(idx) for idx in selection[:found]], int(nodes[0])

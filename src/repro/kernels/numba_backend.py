@@ -18,7 +18,8 @@ hot loops run as ``nopython`` machine code:
   depth-first search replicating the reference's exact traversal order —
   most-constrained element by first minimum in element order, candidates
   in ``order_by_size`` order, strictly-smaller incumbent updates — so the
-  selected covers and every warm-start tie-break are bit-identical.
+  selected covers, the search node counts and every warm-start tie-break
+  are bit-identical.
 
 Kernel contracts are documented in :mod:`repro.kernels`; argument
 validation and corner cases live in the graph/solver wrappers.
@@ -283,13 +284,20 @@ def _cover_search_impl(coverage, order_by_size, best_size, selection_out):
     chosen = np.empty(num_free + 1, dtype=np.int32)
     pos_stack = np.empty(num_free + 2, dtype=np.int64)
     elem_stack = np.empty(num_free + 2, dtype=np.int64)
+    # Branching counts every free candidate, so per-element counts are fixed.
+    element_counts = np.zeros(num_elements, dtype=np.int64)
+    for c in range(num_free):
+        for e in range(num_elements):
+            element_counts[e] += coverage[c, e]
     for e in range(num_elements):
         remaining_stack[0, e] = 1
     best_len = np.int64(-1)
+    nodes = np.int64(0)
     depth = 0
     entering = True
     while depth >= 0:
         if entering:
+            nodes += 1
             num_remaining = 0
             for e in range(num_elements):
                 num_remaining += remaining_stack[depth, e]
@@ -325,15 +333,10 @@ def _cover_search_impl(coverage, order_by_size, best_size, selection_out):
             # Most-constrained element: fewest covering candidates, first
             # minimum in element order (matches numpy argmin).
             element = np.int64(-1)
-            element_count = np.int64(-1)
             for e in range(num_elements):
                 if remaining_stack[depth, e] == 0:
                     continue
-                count = np.int64(0)
-                for c in range(num_free):
-                    count += coverage[c, e]
-                if element_count < 0 or count < element_count:
-                    element_count = count
+                if element < 0 or element_counts[e] < element_counts[element]:
                     element = e
             elem_stack[depth] = element
             pos_stack[depth] = 0
@@ -343,14 +346,9 @@ def _cover_search_impl(coverage, order_by_size, best_size, selection_out):
         while pos < num_free:
             cand = order_by_size[pos]
             pos += 1
+            # A chosen candidate covers no remaining element, so it never
+            # covers the branching element.
             if coverage[cand, element] == 0:
-                continue
-            already = False
-            for i in range(depth):
-                if chosen[i] == cand:
-                    already = True
-                    break
-            if already:
                 continue
             pos_stack[depth] = pos
             for e in range(num_elements):
@@ -365,7 +363,7 @@ def _cover_search_impl(coverage, order_by_size, best_size, selection_out):
         if not pushed:
             entering = False
             depth -= 1
-    return best_size, best_len
+    return best_size, best_len, nodes
 
 
 def bfs(
@@ -471,16 +469,16 @@ def cover_search(
     order_by_size: np.ndarray,
     best_size: int,
     best_selection: list[int] | None,
-) -> tuple[int, list[int] | None]:
+) -> tuple[int, list[int] | None, int]:
     """Explicit-stack branch and bound; same contract as numpy ``cover_search``."""
     num_free = coverage.shape[0]
     selection_out = np.empty(num_free + 1, dtype=np.int32)
-    found_size, found_len = _cover_search_impl(
+    found_size, found_len, nodes = _cover_search_impl(
         np.ascontiguousarray(coverage, dtype=np.uint8),
         np.ascontiguousarray(order_by_size, dtype=np.int64),
         np.int64(best_size),
         selection_out,
     )
     if found_len < 0:
-        return best_size, best_selection
-    return int(found_size), [int(idx) for idx in selection_out[:found_len]]
+        return best_size, best_selection, int(nodes)
+    return int(found_size), [int(idx) for idx in selection_out[:found_len]], int(nodes)

@@ -1,7 +1,7 @@
 """The numpy reference kernels — the bit-identity baseline.
 
-These are exactly the pure-Python-over-numpy hot loops the rest of the
-code base was built on: the chunked multi-source frontier expansion behind
+These are the pure-Python-over-numpy hot loops the rest of the code base
+was built on: the multi-source frontier expansion behind
 :func:`repro.graphs.traversal.batched_bfs_distances` and the
 branch-and-bound recursion behind
 :func:`repro.solvers.set_cover.branch_and_bound_set_cover`.  Every other
@@ -18,6 +18,53 @@ import numpy as np
 from repro.kernels.common import MAX_EXPANSION_INCIDENCES, UNREACHABLE
 
 __all__ = ["bfs", "bfs_reduce", "cover_search"]
+
+#: Batches with ``len(sources) * n * n`` up to this bound run the dense BFS
+#: (:func:`_dense_bfs`).  On tiny graphs — the reduced views behind every
+#: best response — the chunked expansion's fixed cost per level dominates;
+#: much larger products can start a threaded BLAS matrix product, whose
+#: start-up costs more than it saves.  In a sweep of n from 16 to 1000 and
+#: 1 to 128 sources (2-vCPU x86, OpenBLAS), dense was 1.3-13.5x faster at
+#: every batch under the bound but one, n=512 with one source (0.74x, at
+#: the bound itself).  Above it dense lost from n=300 on and once hit a
+#: threaded-BLAS stall (n=128, 64 sources: 0.13x).
+DENSE_BFS_MAX_PRODUCT: int = 1 << 18
+
+
+def _dense_bfs(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    sources: np.ndarray,
+    radius: int | None,
+    dist: np.ndarray,
+) -> np.ndarray:
+    """Frontier BFS as one 0/1 matrix product per level (small graphs).
+
+    Row ``i`` of the float32 frontier matrix holds source ``i``'s current
+    level; multiplying by the adjacency matrix marks every neighbour of
+    it (exact counts, far below ``2**24``), and the unvisited ones form
+    the next level.  Same level sets as the chunked expansion, so the
+    same distances.
+    """
+    n = len(indptr) - 1
+    adjacency = np.zeros((n, n), dtype=np.float32)
+    adjacency[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
+    row = np.arange(sources.size)
+    dist[row, sources] = 0
+    visited = np.zeros(dist.shape, dtype=bool)
+    visited[row, sources] = True
+    frontier = visited.astype(np.float32)
+    level = 0
+    while radius is None or level < radius:
+        level += 1
+        reached = (frontier @ adjacency) > 0
+        reached &= ~visited
+        if not reached.any():
+            break
+        dist[reached] = level
+        visited |= reached
+        frontier = reached.astype(np.float32)
+    return dist
 
 
 def bfs(
@@ -46,9 +93,14 @@ def bfs(
     ``np.unique`` dedup sort is skipped outright (common on the sparse
     late-level frontiers of high-girth graphs; the level sets, and with
     them the output, are identical by construction).
+
+    Small batches (``len(sources) * n * n <=``
+    :data:`DENSE_BFS_MAX_PRODUCT`) take :func:`_dense_bfs` instead.
     """
     n = len(indptr) - 1
     num_sources = sources.size
+    if num_sources * n * n <= DENSE_BFS_MAX_PRODUCT:
+        return _dense_bfs(indptr, indices, sources, radius, dist)
     row = np.arange(num_sources, dtype=np.int32)
     dist[row, sources] = 0
     frontier_row = row
@@ -246,47 +298,64 @@ def cover_search(
     order_by_size: np.ndarray,
     best_size: int,
     best_selection: list[int] | None,
-) -> tuple[int, list[int] | None]:
+) -> tuple[int, list[int] | None, int]:
     """The branch-and-bound set-cover recursion over the residual instance.
 
     Branches on the uncovered element with the fewest covering candidates
-    (the most constrained element), prunes with the incumbent handed in by
-    the caller (greedy / warm-start seeded) and the simple lower bound
-    ``ceil(#uncovered / max coverage size)``, and tries the candidates
-    covering the branching element in ``order_by_size`` order.  Returns the
-    tightened ``(best_size, best_selection)`` incumbent — unchanged when
-    the search proves nothing smaller exists.
-    """
+    (the most constrained element; candidates are counted over the whole
+    free set, first minimum in element order), prunes with the incumbent
+    handed in by the caller (greedy / warm-start seeded) and the simple
+    lower bound ``ceil(#uncovered / max coverage size)``, and tries the
+    candidates covering the branching element in ``order_by_size`` order.
+    A chosen candidate covers no uncovered element, so it never covers the
+    branching element and is never tried twice on one path.
 
-    def recurse(remaining: np.ndarray, chosen: list[int]) -> None:
-        nonlocal best_size, best_selection
-        num_remaining = int(remaining.sum())
+    Returns the tightened ``(best_size, best_selection)`` incumbent —
+    unchanged when the search proves nothing smaller exists — and the
+    number of search nodes entered.
+    """
+    # ``remaining`` is a 0/1 float32 vector, so a coverage gain is one BLAS
+    # matrix-vector product (exact: the counts stay far below 2**24) and a
+    # child's vector one multiply by the candidate's complement row.
+    weights = coverage.astype(np.float32)
+    complements = (~coverage).astype(np.float32)
+    # The branching rule counts every free candidate, so the per-element
+    # counts never change during the search.
+    element_counts = coverage.sum(axis=0)
+    # Row ``e``: which candidates, by position in ``order_by_size``, cover e.
+    covers_in_order = np.ascontiguousarray(coverage[order_by_size].T)
+    chosen: list[int] = []
+    nodes = 0
+
+    def recurse(remaining: np.ndarray, num_remaining: int) -> None:
+        nonlocal best_size, best_selection, nodes
+        nodes += 1
+        depth = len(chosen)
         if num_remaining == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
+            if depth < best_size:
+                best_size = depth
                 best_selection = list(chosen)
             return
-        if len(chosen) + 1 > best_size:
+        if depth + 1 > best_size:
             return
-        max_gain = int((coverage & remaining).sum(axis=1).max(initial=0))
+        gains = weights @ remaining
+        max_gain = int(np.maximum.reduce(gains, initial=0))
         if max_gain == 0:
             return
-        lower = len(chosen) + int(np.ceil(num_remaining / max_gain))
+        lower = depth + -(-num_remaining // max_gain)  # ceil division
         if lower >= best_size + 1:
             return
-        # Most-constrained element: fewest candidates cover it.
-        candidate_counts = coverage[:, remaining].sum(axis=0)
         target_positions = np.flatnonzero(remaining)
-        local_target = int(np.argmin(candidate_counts))
-        element = int(target_positions[local_target])
-        covering = [int(c) for c in order_by_size if coverage[c, element]]
-        for candidate in covering:
-            if candidate in chosen:
-                continue
-            new_remaining = remaining & ~coverage[candidate]
+        element = int(target_positions[np.argmin(element_counts[target_positions])])
+        for candidate in order_by_size[covers_in_order[element]].tolist():
             chosen.append(candidate)
-            recurse(new_remaining, chosen)
+            # A candidate's gain is exactly what it removes from ``remaining``.
+            recurse(remaining * complements[candidate], num_remaining - int(gains[candidate]))
             chosen.pop()
 
-    recurse(np.ones(coverage.shape[1], dtype=bool), [])
-    return best_size, best_selection
+    recurse(np.ones(coverage.shape[1], dtype=np.float32), coverage.shape[1])
+    # ``recurse`` refers to itself through its closure; clearing the name
+    # breaks that cycle, so the scratch matrices above are freed here and
+    # not at the next garbage collection.
+    del recurse
+    return best_size, best_selection, nodes

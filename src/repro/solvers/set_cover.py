@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels import KernelBackend, resolve_backend
+from repro.obs.metrics import CounterFamily, default_registry
 
 __all__ = [
     "SetCoverInstance",
@@ -42,6 +43,21 @@ __all__ = [
 #: :func:`solve_set_cover` warns loudly when an exact solver silently drops
 #: them (greedy is exempt: an approximation has no search to prune).
 WARM_START_SOLVERS: frozenset[str] = frozenset({"branch_and_bound"})
+
+# Search-effort counter on the process default registry, bound lazily like
+# the traversal layer's kernel counters.
+_COVER_NODES: CounterFamily | None = None
+
+
+def _cover_nodes_metric() -> CounterFamily:
+    global _COVER_NODES
+    if _COVER_NODES is None:
+        _COVER_NODES = default_registry().counter(
+            "repro_cover_nodes_total",
+            help="Branch-and-bound set-cover search nodes expanded",
+            labelnames=("backend",),
+        )
+    return _COVER_NODES
 
 
 @dataclass
@@ -92,17 +108,13 @@ class SetCoverInstance:
         ``uncovered_elements`` an index array of elements not covered by any
         forced candidate.
         """
-        forced_mask = np.zeros(self.num_candidates, dtype=bool)
-        if self.forced:
-            forced_mask[list(self.forced)] = True
-        covered = (
-            self.coverage[forced_mask].any(axis=0)
-            if forced_mask.any()
-            else np.zeros(self.num_elements, dtype=bool)
-        )
-        free_candidates = np.flatnonzero(~forced_mask)
-        uncovered_elements = np.flatnonzero(~covered)
-        return free_candidates, uncovered_elements
+        if not self.forced:
+            return np.arange(self.num_candidates), np.arange(self.num_elements)
+        forced = list(self.forced)
+        free_mask = np.ones(self.num_candidates, dtype=bool)
+        free_mask[forced] = False
+        covered = self.coverage[forced].any(axis=0)
+        return np.flatnonzero(free_mask), np.flatnonzero(~covered)
 
     def is_feasible_selection(self, selected: set[int]) -> bool:
         """Check that forced + selected candidates cover every element."""
@@ -122,6 +134,8 @@ class SetCoverResult:
     ``objective`` is ``len(selected)``.  ``optimal`` records whether the
     solver guarantees optimality (greedy does not).  ``feasible`` is False
     when no cover exists at all (some element covered by no candidate).
+    ``nodes`` is the number of branch-and-bound search nodes the kernel
+    expanded (0 for greedy, MILP and instances settled without a search).
     """
 
     selected: tuple[int, ...]
@@ -129,6 +143,7 @@ class SetCoverResult:
     optimal: bool
     feasible: bool
     solver: str
+    nodes: int = 0
 
     def selected_labels(self, instance: SetCoverInstance) -> list:
         if not instance.candidate_labels:
@@ -140,18 +155,47 @@ def _infeasible(solver: str) -> SetCoverResult:
     return SetCoverResult(selected=(), objective=0, optimal=True, feasible=False, solver=solver)
 
 
-def _trivial_or_none(instance: SetCoverInstance, solver: str) -> SetCoverResult | None:
-    """Handle the no-element / uncoverable-element corner cases."""
+def _residual_or_trivial(
+    instance: SetCoverInstance, solver: str
+) -> tuple[np.ndarray, np.ndarray, SetCoverResult | None]:
+    """Slice the residual instance and settle its corner cases.
+
+    Returns ``(free, coverage, trivial)``: the free candidate indices, the
+    residual coverage matrix (free candidates x uncovered elements) and,
+    when no search is needed (nothing left to cover, or an element no free
+    candidate covers), the final result; otherwise ``trivial`` is ``None``
+    and every residual element is coverable.
+    """
     free, uncovered = instance.residual()
+    coverage = instance.coverage.take(free, axis=0).take(uncovered, axis=1)
     if uncovered.size == 0:
-        return SetCoverResult((), 0, True, True, solver)
-    if free.size == 0:
-        return _infeasible(solver)
-    # An element covered by no candidate at all makes the instance infeasible.
-    coverable = instance.coverage[free][:, uncovered].any(axis=0)
-    if not bool(coverable.all()):
-        return _infeasible(solver)
-    return None
+        return free, coverage, SetCoverResult((), 0, True, True, solver)
+    if not bool(coverage.any(axis=0).all()):
+        return free, coverage, _infeasible(solver)
+    return free, coverage, None
+
+
+def _greedy_positions(coverage: np.ndarray) -> list[int]:
+    """Greedy cover of a feasible residual instance, as row positions.
+
+    Repeatedly takes the first row covering the most still-uncovered
+    columns (``argmax`` tie-break).  Gains are float32 matrix-vector
+    products of 0/1 entries, exact integers far below ``2**24``.
+    """
+    weights = coverage.astype(np.float32)
+    remaining = np.ones(coverage.shape[1], dtype=np.float32)
+    gains = weights.sum(axis=1)
+    uncovered = coverage.shape[1]
+    selected: list[int] = []
+    while uncovered:
+        best = int(gains.argmax())
+        if gains[best] == 0:  # pragma: no cover - callers pass feasible instances
+            raise ValueError("greedy cover of an infeasible residual instance")
+        selected.append(best)
+        uncovered -= int(gains[best])
+        remaining[coverage[best]] = 0
+        gains = weights @ remaining
+    return selected
 
 
 def _warm_positions(
@@ -191,21 +235,11 @@ def greedy_set_cover(
     and ignored: greedy rebuilds its cover from scratch deterministically.
     ``backend`` likewise: greedy has no kernel to accelerate.
     """
-    trivial = _trivial_or_none(instance, "greedy")
+    free, coverage, trivial = _residual_or_trivial(instance, "greedy")
     if trivial is not None:
         return trivial
-    free, uncovered = instance.residual()
-    coverage = instance.coverage[free][:, uncovered]
-    remaining = np.ones(coverage.shape[1], dtype=bool)
-    selected: list[int] = []
-    while remaining.any():
-        gains = (coverage & remaining).sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] == 0:  # pragma: no cover - guarded by _trivial_or_none
-            return _infeasible("greedy")
-        selected.append(int(free[best]))
-        remaining &= ~coverage[best]
-    return SetCoverResult(tuple(selected), len(selected), False, True, "greedy")
+    selected = tuple(int(free[pos]) for pos in _greedy_positions(coverage))
+    return SetCoverResult(selected, len(selected), False, True, "greedy")
 
 
 def branch_and_bound_set_cover(
@@ -217,11 +251,19 @@ def branch_and_bound_set_cover(
     """Exact branch-and-bound solver, kernel-backed.
 
     Branches on the uncovered element with the fewest covering candidates
-    (the most constrained element) and prunes with
+    (the most constrained element, first minimum in element order), tries
+    the candidates covering it, largest coverage first, and prunes with
 
-    * the best incumbent found so far (initialised from greedy, tightened by
-      a feasible ``warm_start`` selection when one is supplied), and
+    * the best incumbent found so far (greedy, computed once on the
+      residual instance, capped by ``upper_bound`` and tightened by a
+      feasible ``warm_start`` selection; only strictly smaller covers
+      replace it), and
     * the simple lower bound ``ceil(#uncovered / max coverage size)``.
+
+    Greedy is not computed where it cannot end up as the incumbent: under
+    a cap below the lower bound, and next to a warm start that meets the
+    lower bound.  The search then starts from the same incumbent as it
+    would with greedy, so it expands the same nodes.
 
     A warm start never changes the returned objective (the search still
     proves optimality); it only prunes earlier.  When the warm-start cover
@@ -238,39 +280,45 @@ def branch_and_bound_set_cover(
     most a few hundred vertices); cross-checked against the MILP solver in
     the test suite.
     """
-    trivial = _trivial_or_none(instance, "branch_and_bound")
+    free, coverage, trivial = _residual_or_trivial(instance, "branch_and_bound")
     if trivial is not None:
         return trivial
-    free, uncovered = instance.residual()
-    coverage = instance.coverage[free][:, uncovered]
-    num_free = coverage.shape[0]
 
-    greedy = greedy_set_cover(instance)
-    best_size = greedy.objective if greedy.feasible else num_free + 1
-    if upper_bound is not None:
-        best_size = min(best_size, upper_bound)
-    best_selection: list[int] | None = (
-        [int(np.flatnonzero(free == idx)[0]) for idx in greedy.selected]
-        if greedy.feasible and greedy.objective <= best_size
-        else None
-    )
-    if warm_start is not None:
-        warm = _warm_positions(instance, free, warm_start)
+    cover_sizes = coverage.sum(axis=1)
+    # No cover, greedy's included, has fewer sets than this.
+    lower = -(-coverage.shape[1] // int(cover_sizes.max()))
+    warm = None if warm_start is None else _warm_positions(instance, free, warm_start)
+    best_selection: list[int] | None
+    if upper_bound is not None and upper_bound < lower:
+        # Greedy's cover cannot sit under the cap, so it is not computed;
+        # the search refutes the cap at its root.
+        best_size, best_selection = upper_bound, None
+    elif warm is not None and len(warm) == lower and (
+        upper_bound is None or lower <= upper_bound
+    ):
+        # Greedy cannot beat a warm start at the lower bound, and a tie
+        # keeps the warm start: it is the incumbent either way.
+        best_size, best_selection = lower, warm
+    else:
+        greedy = _greedy_positions(coverage)
+        best_size = len(greedy)
+        if upper_bound is not None:
+            best_size = min(best_size, upper_bound)
+        best_selection = greedy if len(greedy) <= best_size else None
         if warm is not None and len(warm) <= best_size:
             best_size = len(warm)
             best_selection = warm
 
-    cover_sizes = coverage.sum(axis=1)
     order_by_size = np.argsort(-cover_sizes)
 
     kernel = resolve_backend(backend)
-    best_size, best_selection = kernel.cover_search(
+    best_size, best_selection, nodes = kernel.cover_search(
         coverage, order_by_size, best_size, best_selection
     )
     if best_selection is None:
-        return _infeasible("branch_and_bound")
+        return SetCoverResult((), 0, True, False, "branch_and_bound", nodes)
     selected = tuple(int(free[idx]) for idx in best_selection)
-    return SetCoverResult(selected, len(selected), True, True, "branch_and_bound")
+    return SetCoverResult(selected, len(selected), True, True, "branch_and_bound", nodes)
 
 
 def milp_set_cover(
@@ -291,13 +339,11 @@ def milp_set_cover(
     forwarded to the branch-and-bound fallback taken on a HiGHS failure;
     use ``method="branch_and_bound"`` to actually exploit warm starts.
     """
-    trivial = _trivial_or_none(instance, "milp")
+    free, coverage, trivial = _residual_or_trivial(instance, "milp")
     if trivial is not None:
         return trivial
     from scipy import optimize, sparse
 
-    free, uncovered = instance.residual()
-    coverage = instance.coverage[free][:, uncovered]
     num_free, num_elements = coverage.shape
     constraint_matrix = sparse.csr_matrix(coverage.T.astype(float))
     constraints = optimize.LinearConstraint(constraint_matrix, lb=np.ones(num_elements))
@@ -350,7 +396,9 @@ def solve_set_cover(
 
     ``backend`` selects the kernel backend running the branch-and-bound
     recursion (see :mod:`repro.kernels`); all backends return bit-identical
-    selections, so it is purely a speed knob.
+    selections and node counts, so it is purely a speed knob.  The search
+    nodes a solve expanded (:attr:`SetCoverResult.nodes`) are added to the
+    ``repro_cover_nodes_total{backend}`` counter of the default registry.
 
     Passing hints to an exact solver that cannot consume them
     (``milp``) raises a :class:`RuntimeWarning`: the caller asked for a
@@ -376,4 +424,8 @@ def solve_set_cover(
             RuntimeWarning,
             stacklevel=2,
         )
-    return solver(instance, upper_bound=upper_bound, warm_start=warm_start, backend=backend)
+    result = solver(instance, upper_bound=upper_bound, warm_start=warm_start, backend=backend)
+    if result.nodes:
+        kernel = resolve_backend(backend)
+        _cover_nodes_metric().labels(backend=kernel.name).inc(result.nodes)
+    return result

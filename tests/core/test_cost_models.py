@@ -30,7 +30,12 @@ from repro.core.cost_models import (
     cost_model_to_payload,
     resolve_cost_model,
 )
-from repro.core.costs import all_player_costs, social_cost, usage_from_distances
+from repro.core.costs import (
+    all_player_costs,
+    player_cost,
+    social_cost,
+    usage_from_distances,
+)
 from repro.core.deviations import COST_EPS, view_cost
 from repro.core.games import FULL_KNOWLEDGE, GameSpec, MaxNCG, SumNCG, UsageKind
 from repro.core.metrics import compute_profile_metrics
@@ -168,6 +173,28 @@ class TestConnectedAgreement:
         tol = TolerantCosts(beta=4.0)
         assert usage_from_distances(distances, 5, UsageKind.MAX, cost_model=tol) == 4.0
         assert usage_from_distances(distances, 5, UsageKind.SUM, cost_model=tol) == 11.0
+
+
+class TestAllPlayerCosts:
+    """The fused-kernel :func:`all_player_costs` equals :func:`player_cost`
+    (one Python BFS per player) exactly, connected or not, under every
+    usage and cost model."""
+
+    @given(
+        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=0, max_value=5_000),
+        alphas,
+        st.sampled_from([None, 1.5, 3, 6.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_player_costs(self, n, seed, alpha, beta):
+        profile = _random_profile(n, seed)
+        model = STRICT if beta is None else TolerantCosts(beta=beta)
+        for factory in (MaxNCG, SumNCG):
+            game = factory(alpha, cost_model=model)
+            expected = {player: player_cost(profile, player, game) for player in profile}
+            assert all_player_costs(profile, game) == expected
+            assert social_cost(profile, game) == sum(expected.values())
 
 
 class TestDisconnectedPricing:

@@ -95,7 +95,17 @@ def bfs_workloads(draw, max_nodes: int = 14):
     return graph, sources, radius
 
 
+@pytest.fixture(params=["dense", "chunked"])
+def numpy_bfs_path(request, monkeypatch):
+    """Run a test through both numpy BFS paths: the dense small-graph
+    product (the default at these sizes) and the chunked expansion."""
+    if request.param == "chunked":
+        monkeypatch.setattr("repro.kernels.numpy_backend.DENSE_BFS_MAX_PRODUCT", 0)
+    return request.param
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.usefixtures("numpy_bfs_path")
 class TestBfsEquivalence:
     @given(workload=bfs_workloads())
     @settings(max_examples=50, deadline=None)
@@ -131,6 +141,7 @@ class TestBfsEquivalence:
     def test_frontier_crossing_expansion_cap(self, backend_name, monkeypatch):
         """A hub whose incidence run dwarfs the cap forces the numpy chunked
         path; every backend must still match the naive reference exactly."""
+        monkeypatch.setattr("repro.kernels.numpy_backend.DENSE_BFS_MAX_PRODUCT", 0)
         monkeypatch.setattr(
             "repro.kernels.numpy_backend.MAX_EXPANSION_INCIDENCES", 4
         )

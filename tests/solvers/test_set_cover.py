@@ -365,3 +365,33 @@ class TestKernelBackendParity:
         backend = get_backend(self.BACKENDS[-1])
         result = solve_set_cover(instance, "branch_and_bound", backend=backend)
         assert result.feasible and result.objective == 2
+
+
+class TestSearchEffortCounter:
+    """``solve_set_cover`` reports the kernel's search nodes on the default
+    registry, per backend; solves that never search add nothing."""
+
+    @staticmethod
+    def _nodes(backend: str) -> float:
+        from repro.obs.metrics import default_registry
+
+        family = default_registry().counter(
+            "repro_cover_nodes_total", labelnames=("backend",)
+        )
+        return family.labels(backend=backend).value
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_branch_and_bound_nodes_are_counted(self, name):
+        instance = make_instance([{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}], 6)
+        before = self._nodes(name)
+        result = solve_set_cover(instance, "branch_and_bound", backend=name)
+        assert result.objective == 2 and result.nodes > 0
+        assert self._nodes(name) - before == result.nodes
+
+    def test_solves_without_a_search_add_nothing(self):
+        instance = make_instance([{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}], 6)
+        before = self._nodes("numpy")
+        assert solve_set_cover(instance, "greedy", backend="numpy").nodes == 0
+        trivial = make_instance([{0, 1}], 2, forced=(0,))
+        assert solve_set_cover(trivial, "branch_and_bound", backend="numpy").nodes == 0
+        assert self._nodes("numpy") == before
