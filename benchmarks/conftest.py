@@ -5,10 +5,17 @@ grid (the full paper grid is available through the CLI: ``python -m repro
 <figure> [--workers N]``), times it with pytest-benchmark, writes the
 resulting rows to ``benchmarks/output/`` and prints them so the series can be
 compared with the paper's.
+
+The performance suites print their ``BENCH_*.json`` reports and write them
+to the repository root only when ``REPRO_BENCH_RECORD=1`` (CI sets it in
+the steps that upload them), so running the tests leaves the tracked
+reports untouched.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -35,3 +42,12 @@ def emit_rows():
 def run_once(benchmark, func, *args, **kwargs):
     """Run an expensive harness exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def record_report(path: Path, report: dict) -> None:
+    """Print a benchmark report; write it to ``path`` if ``REPRO_BENCH_RECORD=1``."""
+    text = json.dumps(report, indent=2)
+    if os.environ.get("REPRO_BENCH_RECORD") == "1":
+        path.write_text(text + "\n")
+    print()
+    print(text)

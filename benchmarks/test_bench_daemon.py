@@ -1,6 +1,6 @@
 """Timing harness for the sweep daemon's content-addressed cache.
 
-Writes ``BENCH_daemon.json`` at the repository root.
+Writes ``BENCH_daemon.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 The scenario is the daemon's reason to exist: a grid submitted twice.
 The first submission is **cold** — every cell executes on the engine; the
@@ -22,10 +22,11 @@ The acceptance figures:
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.experiments.runner import RunSpec
 from repro.service.client import SweepClient
@@ -96,9 +97,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_daemon(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     # The repeated grid is pure cache: zero engine work, every cell a hit.
     assert report["warm_executed"] == 0
     assert report["warm_from_cache"] == report["unique_tasks"]

@@ -2,7 +2,7 @@
 
 ``test_bench_engine_vs_legacy`` — legacy rebuild-from-scratch dynamics vs
 the incremental engine, on a fixed 100-node round-robin workload.  Writes
-``BENCH_engine.json`` at the repository root.
+``BENCH_engine.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 Two phases, both asserted trajectory-identical between the paths:
 
@@ -19,18 +19,20 @@ Two phases, both asserted trajectory-identical between the paths:
 The acceptance figure (``speedup``) is the session one.
 
 ``test_bench_scaling`` — the large-n suite.  Writes ``BENCH_scaling.json``
-with two sections: blocked/streaming ``compute_profile_metrics`` vs the
-dense ``(n, n)`` path (wall-clock and tracemalloc peak), and warm-started
-vs cold ``best_response_max`` re-solves (identical strategies asserted).
+(likewise only when recording) with two sections: blocked/streaming
+``compute_profile_metrics`` vs the dense ``(n, n)`` path (wall-clock and
+tracemalloc peak), and warm-started vs cold ``best_response_max`` re-solves
+(identical strategies asserted).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 import tracemalloc
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.core.best_response import ENGINE_DEFAULT_SOLVER, best_response_max
 from repro.core.dynamics import (
@@ -167,9 +169,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_engine_vs_legacy(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     assert report["cold"]["identical_trajectories"]
     assert report["session"]["identical_trajectories"]
     # The engine must never be slower cold, and the incremental session is
@@ -300,9 +300,7 @@ def _run_scaling_benchmark() -> dict:
 
 def test_bench_scaling(benchmark):
     report = benchmark.pedantic(_run_scaling_benchmark, rounds=1, iterations=1)
-    SCALING_OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(SCALING_OUTPUT_PATH, report)
     metrics = report["metrics"]
     # Blocked sweep: same numbers, without ever holding the (n, n) matrix —
     # peak must stay clearly below the dense matrix alone, and far below the

@@ -1,6 +1,7 @@
 """Compiled kernel backends vs the numpy reference, bit-identity asserted.
 
-Writes ``BENCH_kernels.json`` at the repository root with five sections:
+With ``REPRO_BENCH_RECORD=1`` it writes ``BENCH_kernels.json`` at the
+repository root, with five sections:
 
 * **bfs** — the batched CSR BFS at ``n = 5000`` (Barabási–Albert, the same
   family as the scaling smoke): numpy level expansion vs the best available
@@ -31,13 +32,14 @@ path everywhere.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import record_report
 
 from repro.core.dynamics import best_response_dynamics
 from repro.core.games import MaxNCG
@@ -325,9 +327,7 @@ def test_bench_kernels(benchmark):
         }
 
     report = benchmark.pedantic(_run, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     # Bit-identity is the contract: same distances, same reductions, same
     # selections, same full trajectories — the compiled backends and the
     # threads knob are pure speed knobs.

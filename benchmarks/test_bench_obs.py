@@ -1,6 +1,6 @@
 """Overhead gate for the telemetry layer.
 
-Writes ``BENCH_obs.json`` at the repository root.
+Writes ``BENCH_obs.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 Two properties make ``--telemetry`` safe to leave reachable in production
 code paths, and this harness pins both with numbers:
@@ -20,10 +20,11 @@ code paths, and this harness pins both with numbers:
 
 from __future__ import annotations
 
-import json
 import time
 import timeit
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.experiments.runner import RunSpec, run_spec_on_instance
 from repro.graphs.generators import random_owned_tree
@@ -113,9 +114,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_obs(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     # The traced smoke run really hit the instrumented sites.
     assert report["span_count"] > 0
     # No-op recorder tax: well under the 5% budget on the small engine run.

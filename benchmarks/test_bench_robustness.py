@@ -1,6 +1,6 @@
 """Timing harness for the perturbation & recovery subsystem.
 
-Writes ``BENCH_robustness.json`` at the repository root.
+Writes ``BENCH_robustness.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 The scenario is the robustness suite's inner loop: converge once, then
 repeatedly shock the certified equilibrium through
@@ -28,10 +28,11 @@ instance: warm replay must recover at least 5x faster than a cold restart.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.core.games import MaxNCG
 from repro.engine.core import DynamicsEngine
@@ -174,9 +175,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_robustness(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     for instance in report["instances"]:
         # Warm replays must be the same recoveries, certified on both paths.
         assert instance["identical_recoveries"]

@@ -1,6 +1,6 @@
 """Timing harness for the sweep orchestration service.
 
-Writes ``BENCH_service.json`` at the repository root.
+Writes ``BENCH_service.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 The scenario is the service's reason to exist: a **multi-task-per-instance
 sweep** — here a robustness study whose five operator chains all start from
@@ -28,10 +28,11 @@ serial ones included).  The acceptance figures:
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.experiments.config import SweepSettings
 from repro.experiments.extensions.robustness import RobustnessStudyConfig
@@ -141,9 +142,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_service(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     # The same tasks must mean the same rows, warm or cold, whole or
     # killed-and-resumed.
     assert report["rows_identical"]

@@ -1,6 +1,6 @@
 """Timing harness for work-stealing dispatch vs static shards.
 
-Writes ``BENCH_steal.json`` at the repository root.
+Writes ``BENCH_steal.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 The scenario is the weighted planner's documented blind spot: estimated
 group weight is ``instance nodes x task count``, which is blind to
@@ -29,9 +29,10 @@ Acceptance figures:
 from __future__ import annotations
 
 import heapq
-import json
 import time
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.engine.views import ViewStore
 from repro.experiments.config import FULL_KNOWLEDGE_K
@@ -157,9 +158,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_steal(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     # Same tasks, same rows — serial, static shards, or stealing pool.
     assert report["rows_identical_static"]
     assert report["rows_identical_steal"]

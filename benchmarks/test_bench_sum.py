@@ -1,6 +1,6 @@
 """Timing harness for the engine-grade SumNCG best-response path.
 
-Writes ``BENCH_sum.json`` at the repository root.
+Writes ``BENCH_sum.json`` at the repository root when ``REPRO_BENCH_RECORD=1``.
 
 Two sections:
 
@@ -21,9 +21,10 @@ Two sections:
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
+
+from conftest import record_report
 
 from repro.core.best_response import (
     SUM_EXHAUSTIVE_LIMIT,
@@ -149,9 +150,7 @@ def _run_benchmark() -> dict:
 
 def test_bench_sum(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    record_report(OUTPUT_PATH, report)
     # Identical equilibria / replies everywhere: the seed and the pruning
     # are pure accelerations.
     assert report["identical"]

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.deviations import COST_EPS, view_cost, worst_case_delta
+from repro.core.deviations import COST_EPS, deviation_cost, view_cost
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
 from repro.core.views import View, extract_view
@@ -495,9 +495,9 @@ def best_response_sum_exhaustive(
     if warm_start is not None:
         warm = frozenset(warm_start)
         if warm != current and warm.issubset(view.strategy_space):
-            delta = worst_case_delta(view, current, warm, game)
-            if not math.isinf(delta):
-                prune_cost = min(prune_cost, current_cost + delta)
+            warm_cost = deviation_cost(view, current, current_cost, warm, game)
+            if warm_cost is not None:
+                prune_cost = min(prune_cost, warm_cost)
     for size in range(len(candidates) + 1):
         if prune:
             if game.alpha * size + num_others > prune_cost + COST_EPS:
@@ -514,10 +514,9 @@ def best_response_sum_exhaustive(
             candidate_strategy = frozenset(combo)
             if candidate_strategy == current:
                 continue
-            delta = worst_case_delta(view, current, candidate_strategy, game)
-            if math.isinf(delta):
+            cost = deviation_cost(view, current, current_cost, candidate_strategy, game)
+            if cost is None:
                 continue
-            cost = current_cost + delta
             if cost < best_cost - COST_EPS:
                 best_cost = cost
                 best_strategy = candidate_strategy
@@ -561,10 +560,11 @@ def _sum_hill_climb(
             for added in absent
         )
         for candidate_strategy in neighbourhood:
-            delta = worst_case_delta(view, best_strategy, candidate_strategy, game)
-            if math.isinf(delta):
+            cost = deviation_cost(
+                view, best_strategy, best_cost, frozenset(candidate_strategy), game
+            )
+            if cost is None:
                 continue
-            cost = best_cost + delta
             if cost < best_cost - COST_EPS:
                 best_cost = cost
                 best_strategy = frozenset(candidate_strategy)
@@ -623,10 +623,10 @@ def best_response_sum_local_search(
     if seed_strategy is not None:
         seed = frozenset(seed_strategy)
         if seed != current and seed.issubset(view.strategy_space):
-            delta = worst_case_delta(view, current, seed, game)
-            if not math.isinf(delta) and current_cost + delta < best_cost - COST_EPS:
+            seed_cost = deviation_cost(view, current, current_cost, seed, game)
+            if seed_cost is not None and seed_cost < best_cost - COST_EPS:
                 best_strategy = seed
-                best_cost = current_cost + delta
+                best_cost = seed_cost
 
     best_strategy, best_cost = _sum_hill_climb(
         view, game, candidates, best_strategy, best_cost, max_iterations
@@ -640,11 +640,11 @@ def best_response_sum_local_search(
             start = frozenset(rng.sample(candidates, size))
             if start == current:
                 continue  # the incumbent climb already covered this start
-            delta = worst_case_delta(view, current, start, game)
-            if math.isinf(delta):
+            start_cost = deviation_cost(view, current, current_cost, start, game)
+            if start_cost is None:
                 continue  # forbidden move (Proposition 2.2): unusable start
             strategy, cost = _sum_hill_climb(
-                view, game, candidates, start, current_cost + delta, max_iterations
+                view, game, candidates, start, start_cost, max_iterations
             )
             if cost < best_cost - COST_EPS:
                 best_cost = cost

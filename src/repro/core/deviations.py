@@ -42,6 +42,7 @@ __all__ = [
     "view_cost",
     "deviation_is_forbidden_sum",
     "worst_case_delta",
+    "deviation_cost",
     "is_improving_deviation",
 ]
 
@@ -148,6 +149,30 @@ def worst_case_delta(
     if math.isinf(new_cost) and math.isinf(old_cost):
         return 0.0
     return new_cost - old_cost
+
+
+def deviation_cost(
+    view: View,
+    current_strategy: frozenset[Node] | set[Node],
+    current_cost: float,
+    new_strategy: frozenset[Node] | set[Node],
+    game: GameSpec,
+) -> float | None:
+    """In-view cost after switching to ``new_strategy``, or ``None`` if forbidden.
+
+    ``current_cost`` is ``view_cost(view, current_strategy, game)``.
+    ``None`` marks a Proposition 2.2 forbidden move (``∆ = +inf``).  A ``∆``
+    of ``-inf`` means the current cost is infinite (a disconnected view
+    under the strict model) while the new one is finite: such a move
+    reconnects and is allowed, priced at its own cost, since
+    ``inf + (-inf)`` would be ``nan``.
+    """
+    delta = worst_case_delta(view, current_strategy, new_strategy, game)
+    if delta == math.inf:
+        return None
+    if delta == -math.inf:
+        return view_cost(view, new_strategy, game)
+    return current_cost + delta
 
 
 def is_improving_deviation(

@@ -52,6 +52,19 @@ class StrategyProfile:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def trusted(cls, strategies: dict[Node, frozenset[Node]]) -> "StrategyProfile":
+        """Wrap a mapping that is already valid, without copying or re-checking.
+
+        The caller guarantees what ``__init__`` would check: frozenset
+        values, no self-loops, every target a player; the mapping is owned
+        by the new profile from here on.
+        """
+        profile = cls.__new__(cls)
+        profile._strategies = strategies
+        profile._graph_cache = None
+        return profile
+
+    @classmethod
     def from_owned_graph(cls, owned: OwnedGraph) -> "StrategyProfile":
         """Build a profile from a generator output (graph + ownership)."""
         strategies = {node: set() for node in owned.graph}

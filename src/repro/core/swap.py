@@ -26,12 +26,11 @@ the *richness* of the strategy space rather than to the knowledge radius.
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.core.deviations import COST_EPS, worst_case_delta
+from repro.core.deviations import COST_EPS, deviation_cost, view_cost
 from repro.core.games import GameSpec
 from repro.core.metrics import ProfileMetrics, compute_profile_metrics
 from repro.core.strategies import StrategyProfile
@@ -151,23 +150,23 @@ def best_local_move(
     (:func:`repro.core.deviations.worst_case_delta`), so under SumNCG the
     Proposition 2.2 forbidden moves are never selected.  The second element of
     the returned pair is the worst-case cost change of the chosen move
-    (negative) or ``0.0`` when no improving move exists.
+    (negative; ``-inf`` when it reconnects a disconnected strict-model view)
+    or ``0.0`` when no improving move exists.
     """
     if move_set not in _MOVE_ENUMERATORS:
         raise ValueError(f"unknown move_set {move_set!r}; choose from {sorted(_MOVE_ENUMERATORS)}")
     if view is None:
         view = extract_view(profile, player, game.k)
     current = profile.strategy(player)
+    current_cost = view_cost(view, current, game)
     best_move: Move | None = None
-    best_delta = 0.0
+    best_cost = current_cost
     for move in _MOVE_ENUMERATORS[move_set](view, current):
-        delta = worst_case_delta(view, current, move.apply(current), game)
-        if math.isinf(delta):
-            continue
-        if delta < best_delta - COST_EPS:
-            best_delta = delta
+        cost = deviation_cost(view, current, current_cost, move.apply(current), game)
+        if cost is not None and cost < best_cost - COST_EPS:
+            best_cost = cost
             best_move = move
-    return best_move, (best_delta if best_move is not None else 0.0)
+    return best_move, (best_cost - current_cost if best_move is not None else 0.0)
 
 
 def is_swap_equilibrium(profile: StrategyProfile, game: GameSpec) -> bool:

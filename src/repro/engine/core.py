@@ -13,8 +13,23 @@ incremental machinery:
   at ~zero cost, which is where the bulk of the speed-up comes from (the
   certifying final round of every converged run, and most activations of
   the quiet late rounds, become cache hits);
+* a *settled set* holds the players whose memoised response is still valid
+  and not improving.  :meth:`DynamicsEngine.set_strategy`, the only
+  mutation point, evicts the mover and the dirty region it invalidates.
+  Rounds visit only :meth:`DynamicsEngine.unsettled` players,
+  :meth:`DynamicsEngine.peek_response` answers a settled player from the
+  memo without settling her view, and the certification sweep and the
+  exactness check are skipped outright once every player is settled: a
+  warm recovery after a local shock costs O(dirty region) in best-response
+  probes, not O(n).  Skipped players still count as memo hits in
+  ``repro_engine_responses_total``; with tracing on, the players a round
+  or a skipped sweep passes over emit no ``engine.best_response
+  memo_hit=True`` event;
 * the intra-round activation policy is delegated to a pluggable
-  :class:`~repro.engine.schedulers.Scheduler`.
+  :class:`~repro.engine.schedulers.Scheduler`;
+* cycle detection keys each end-of-round profile by the cheap exact
+  :meth:`~repro.engine.state.NetworkState.strategies_key` instead of the
+  repr-sorted :meth:`~repro.engine.state.NetworkState.canonical_key`.
 
 For the ``fixed`` and ``shuffled`` schedulers the engine reproduces the
 legacy trajectories *exactly* (same final profile, rounds, cycled flag,
@@ -26,6 +41,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections.abc import Iterable, Iterator
 
 from repro.core.best_response import (
     ENGINE_DEFAULT_SOLVER,
@@ -40,6 +56,7 @@ from repro.core.equilibria import EquilibriumReport
 from repro.core.games import GameSpec, UsageKind
 from repro.core.metrics import compute_profile_metrics
 from repro.core.strategies import StrategyProfile
+from repro.core.views import View
 from repro.engine.schedulers import Scheduler, make_scheduler
 from repro.engine.state import NetworkState
 from repro.engine.views import IncrementalViewCache, ViewStore
@@ -191,6 +208,15 @@ class DynamicsEngine:
             else make_scheduler(scheduler, workers=workers)
         )
         self._responses: dict[Node, tuple[int, frozenset[Node], BestResponse]] = {}
+        #: Players whose memo entry is valid (settled view, same token and
+        #: strategy) and not improving; maintained by :meth:`_settle` and
+        #: :meth:`set_strategy`.  :meth:`peek_response` answers them from
+        #: the memo without settling their view or comparing the key.
+        self._settled: set[Node] = set()
+        #: The settled players whose memoised answer is heuristic
+        #: (``exact=False``): an all-settled certificate knows its strength
+        #: without reading every memo entry.
+        self._settled_inexact: set[Node] = set()
         self._cover_contexts: dict[Node, tuple[int, MaxCoverContext]] = {}
 
     # ------------------------------------------------------------------
@@ -215,6 +241,11 @@ class DynamicsEngine:
     def cover_contexts_reused(self) -> int:
         """Reduced-view distance structures reused across activations."""
         return self._m_cover_reused.value
+
+    @property
+    def settled_players(self) -> frozenset[Node]:
+        """Players whose memoised best response is valid and not improving."""
+        return frozenset(self._settled)
 
     # ------------------------------------------------------------------
     # Per-activation primitives (used by schedulers)
@@ -250,6 +281,19 @@ class DynamicsEngine:
         self.views.get(player)
         token = self.views.token(player)
         self._responses[player] = (token, self.state.strategy(player), response)
+        self._settle(player, response)
+
+    def _settle(self, player: Node, response: BestResponse) -> None:
+        """Track ``player`` in the settled set after a valid memo entry."""
+        if response.is_improving:
+            self._settled.discard(player)
+            self._settled_inexact.discard(player)
+            return
+        self._settled.add(player)
+        if response.exact:
+            self._settled_inexact.discard(player)
+        else:
+            self._settled_inexact.add(player)
 
     def _cover_context(self, player: Node, token: int) -> MaxCoverContext | None:
         """Per-(player, view token) cache of the MaxNCG set-cover context.
@@ -291,17 +335,29 @@ class DynamicsEngine:
         (seeded exhaustive below ``sum_exhaustive_limit``, local search
         above) ride this same memo.
         """
-        view = self.views.get(player)  # settles the content token
-        token = self.views.token(player)
-        strategy = self.state.strategy(player)
         memo = self._responses.get(player)
-        if memo is not None and memo[0] == token and memo[1] == strategy:
-            self._m_responses_reused.inc()
-            if self._tracer.enabled:
-                self._tracer.event(
-                    "engine.best_response", player=str(player), memo_hit=True
-                )
-            return memo[2]
+        if player not in self._settled:
+            view = self.views.get(player)  # settles the content token
+            token = self.views.token(player)
+            strategy = self.state.strategy(player)
+            if memo is None or memo[0] != token or memo[1] != strategy:
+                return self._solve(player, view, token, strategy)
+            # A rim player re-validated after conservative invalidation.
+            self._settle(player, memo[2])
+        # A settled player's view and strategy have not moved since her memo
+        # entry was written (set_strategy evicts her otherwise), so her
+        # answer is read without settling the view or comparing the key.
+        self._m_responses_reused.inc()
+        if self._tracer.enabled:
+            self._tracer.event(
+                "engine.best_response", player=str(player), memo_hit=True
+            )
+        return memo[2]
+
+    def _solve(
+        self, player: Node, view: View, token: int, strategy: frozenset[Node]
+    ) -> BestResponse:
+        """Compute and memoise ``player``'s best response (a memo miss)."""
         # The tracing-enabled branch duplicates the solver call so the
         # disabled path pays no span bookkeeping at all on this, the
         # engine's hottest call site.
@@ -339,8 +395,43 @@ class DynamicsEngine:
                 backend=self.kernel_backend,
             )
         self._responses[player] = (token, strategy, response)
+        self._settle(player, response)
         self._m_responses_computed.inc()
         return response
+
+    def unsettled(self, players: Iterable[Node]) -> Iterator[Node]:
+        """The players of ``players`` whose activation could move, in order.
+
+        Settled players are skipped, each checked when reached so that moves
+        made during the iteration are seen: her activation would be a memo
+        hit declining to move.  Each skipped player counts as a reused
+        response, as that activation would have, but emits no trace event.
+        """
+        settled = self._settled
+        skipped = 0
+        try:
+            for player in players:
+                if player in settled:
+                    skipped += 1
+                else:
+                    yield player
+        finally:
+            self._m_responses_reused.inc(skipped)
+
+    def _skip_settled_sweep(self, exact_only: bool = False) -> bool:
+        """Whether a sweep over all players can be skipped as n memo hits.
+
+        True iff every player is settled (and, with ``exact_only``, holds an
+        exact answer): each answer would be her valid memo entry declining
+        to move.  The skipped hits are counted here, so the response
+        counters match a sweep that visits every player.
+        """
+        if len(self._settled) < len(self.base_order) or (
+            exact_only and self._settled_inexact
+        ):
+            return False
+        self._m_responses_reused.inc(len(self.base_order))
+        return True
 
     def apply_response(self, player: Node, response: BestResponse) -> None:
         """Commit ``response.strategy`` and invalidate the dirty region."""
@@ -360,6 +451,13 @@ class DynamicsEngine:
         self.state.apply(delta)
         region |= self.views.region_after_apply(delta)
         self.views.invalidate(region)
+        # The mover's memo is keyed by her old strategy, and every view in
+        # the region may change content: none of them is settled any more.
+        self._settled.discard(player)
+        self._settled.difference_update(region)
+        if self._settled_inexact:
+            self._settled_inexact.discard(player)
+            self._settled_inexact.difference_update(region)
 
     def restore_profile(self, profile: StrategyProfile) -> int:
         """Warm-replay the engine onto ``profile`` via :meth:`set_strategy`.
@@ -415,6 +513,11 @@ class DynamicsEngine:
         with self.telemetry.span("engine.certify", stop_at_first=stop_at_first) as span:
             self.views.refresh_dirty()
             report = EquilibriumReport(is_equilibrium=True)
+            if self._skip_settled_sweep():
+                report.checked_heuristically = set(self._settled_inexact)
+                report.checked_exactly = set(self.base_order) - self._settled_inexact
+                span.set(is_equilibrium=True)
+                return report
             for player in self.base_order:
                 response = self.peek_response(player)
                 if response.exact:
@@ -483,7 +586,7 @@ class DynamicsEngine:
         # sequential Python traversals.
         self.views.refresh_dirty()
         round_records: list[RoundRecord] = []
-        seen_profiles: dict[tuple, int] = {self.state.canonical_key(): 0}
+        seen_profiles: dict[frozenset, int] = {self.state.strategies_key(): 0}
         total_changes = 0
         converged = False
         certified = False
@@ -526,13 +629,13 @@ class DynamicsEngine:
                 # answer came from an exact solver.  The quiet round (or the
                 # certify sweep above) just evaluated every player, so these
                 # are pure memo rides — no additional solver calls.
-                certified_exact = all(
+                certified_exact = self._skip_settled_sweep(exact_only=True) or all(
                     self.peek_response(player).exact for player in self.base_order
                 )
                 rounds_run = round_index - 1
                 break
             if self.scheduler.detects_cycles:
-                key = self.state.canonical_key()
+                key = self.state.strategies_key()
                 if key in seen_profiles:
                     cycled = True
                     break

@@ -82,7 +82,9 @@ class _SequentialScheduler(Scheduler):
 
     def run_round(self, engine: "DynamicsEngine", round_index: int) -> int:
         changes = 0
-        for player in self.round_order(engine, round_index):
+        # The full order is always drawn, so the RNG stream does not depend
+        # on which players are settled.
+        for player in engine.unsettled(self.round_order(engine, round_index)):
             if engine.activate(player):
                 changes += 1
         return changes
@@ -137,7 +139,8 @@ class MaxImprovementScheduler(Scheduler):
     ends when no player has an improving move, which *does* certify an
     equilibrium.  The per-activation argmax scan is cheap because the
     engine memoises best responses for players whose view region was not
-    touched by the previous move.
+    touched by the previous move, and the scan skips settled players (valid
+    memo, not improving) outright: they can never be the argmax.
     """
 
     name = "max_improvement"
@@ -147,7 +150,7 @@ class MaxImprovementScheduler(Scheduler):
         for _ in engine.base_order:
             best_player: Node | None = None
             best_gain = 0.0
-            for player in engine.base_order:
+            for player in engine.unsettled(engine.base_order):
                 response = engine.peek_response(player)
                 if response.is_improving and response.improvement > best_gain:
                     best_gain = response.improvement

@@ -69,7 +69,10 @@ class NetworkState:
     __slots__ = ("_strategies", "_graph", "_buyers", "_revision")
 
     def __init__(self, strategies: dict[Node, frozenset[Node]]) -> None:
-        self._strategies = dict(strategies)
+        # Validated once here and per change by :meth:`preview`, so the
+        # state is valid by construction and :meth:`to_profile` need not
+        # check again.
+        self._strategies = StrategyProfile(strategies).as_dict()
         self._revision = 0
         graph = Graph(nodes=self._strategies)
         buyers: dict[Node, set[Node]] = {node: set() for node in self._strategies}
@@ -82,7 +85,7 @@ class NetworkState:
 
     @classmethod
     def from_profile(cls, profile: StrategyProfile) -> "NetworkState":
-        return cls({player: profile.strategy(player) for player in profile})
+        return cls(profile.as_dict())
 
     # ------------------------------------------------------------------
     # Queries
@@ -126,9 +129,22 @@ class NetworkState:
             )
         )
 
+    def strategies_key(self) -> frozenset[tuple[Node, frozenset[Node]]]:
+        """Exact hashable key of the current strategies.
+
+        Two states share a key iff every player plays the same strategy.
+        Unlike :meth:`canonical_key` it sorts and reprs nothing, so the
+        engine's per-round cycle detector stays cheap.
+        """
+        return frozenset(self._strategies.items())
+
     def to_profile(self) -> StrategyProfile:
-        """Materialise an immutable snapshot of the current strategies."""
-        return StrategyProfile(dict(self._strategies))
+        """Materialise an immutable snapshot of the current strategies.
+
+        Every applied delta was validated by :meth:`preview`, so the
+        snapshot skips the profile constructor's re-validation.
+        """
+        return StrategyProfile.trusted(dict(self._strategies))
 
     # ------------------------------------------------------------------
     # Mutation

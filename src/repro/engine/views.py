@@ -317,6 +317,8 @@ class IncrementalViewCache:
         Python BFS runs; used at engine start-up (everything is dirty) and
         by schedulers that need all views at once.
         """
+        if not self._dirty and len(self._views) == len(self._tokens):
+            return 0
         dirty = [p for p in self._state.players() if p in self._dirty or p not in self._views]
         if not dirty:
             return 0

@@ -56,7 +56,36 @@ from repro.service.workers import (
     WorkerRuntime,
 )
 
-__all__ = ["DaemonConfig", "InProcessExecutor", "ServiceDaemon", "run_daemon"]
+__all__ = [
+    "DaemonConfig",
+    "InProcessExecutor",
+    "ServiceDaemon",
+    "run_daemon",
+    "MAX_BODY_BYTES",
+    "MAX_HEADER_LINES",
+]
+
+#: Largest request body the daemon reads; a longer ``Content-Length`` gets
+#: 413 before any of the body is read.  Job descriptions are big: a
+#: ``run_spec`` job ships every ``RunSpec`` in full (about 280 bytes each),
+#: so the paper's alpha x k grid at 20 seeds through ``sweep --remote`` is
+#: 1.0 MB per family and ``SweepClient.run_specs`` over all six tree sizes
+#: of Table I is 5.8 MB (both tables at once: 11.5 MB).  64 MiB leaves
+#: room above that while still bounding what one request can pin.
+MAX_BODY_BYTES = 64 << 20
+
+#: Most header lines one request may carry; more get 431.  A single line
+#: longer than the stream reader's limit (64 KiB) gets 431 too.
+MAX_HEADER_LINES = 100
+
+
+class _BadRequest(Exception):
+    """A request whose framing is refused with ``status`` before routing."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -255,23 +284,14 @@ class ServiceDaemon:
     # -- HTTP ------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            request_line = await reader.readline()
-            if not request_line:
+            try:
+                request = await self._read_request(reader)
+            except _BadRequest as exc:
+                await self._respond(writer, exc.status, {"error": exc.message})
                 return
-            parts = request_line.decode("latin-1").strip().split()
-            if len(parts) != 3:
-                await self._respond(writer, 400, {"error": "malformed request line"})
+            if request is None:
                 return
-            method, target, _version = parts
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length > 0 else b""
+            method, target, body = request
             path, _, query = target.partition("?")
             await self._route(method, path, query, body, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -280,6 +300,47 @@ class ServiceDaemon:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+
+    @staticmethod
+    async def _read_request(reader):
+        """Parse one request into ``(method, target, body)``.
+
+        ``None`` means the client closed before sending a request line.
+        Malformed framing raises :class:`_BadRequest`: a bad request line or
+        ``Content-Length`` is 400, an oversized body 413 (the body is not
+        read), an over-long request line 414, an over-long header section
+        431.
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError as exc:  # longer than the stream reader's limit
+            raise _BadRequest(414, "request line too long") from exc
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise _BadRequest(400, "malformed request line")
+        method, target, _version = parts
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError as exc:
+                raise _BadRequest(431, "header line too long") from exc
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(431, f"more than {MAX_HEADER_LINES} header lines")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest(400, f"invalid Content-Length {raw_length[:32]!r}")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        body = await reader.readexactly(length) if length > 0 else b""
+        return method, target, body
 
     async def _route(
         self, method: str, path: str, query: str, body: bytes, writer
@@ -481,7 +542,10 @@ class ServiceDaemon:
             404: "Not Found",
             405: "Method Not Allowed",
             409: "Conflict",
+            413: "Content Too Large",
+            414: "URI Too Long",
             429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
         }
         data = _json_bytes(payload)
         writer.write(

@@ -500,8 +500,10 @@ class JobManager:
         if job.cancel_requested:
             self._finish(job, "cancelled", from_thread=True)
             return
+        # Not persisted: recovery re-enqueues every non-terminal record as
+        # "queued", so a durable "running" would only cost one fsynced
+        # rewrite of the job record per job.
         job.status = "running"
-        self._persist(job)
         self._emit(
             job,
             {"type": "status", "job_id": job.id, "status": "running"},

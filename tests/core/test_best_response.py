@@ -144,6 +144,19 @@ class TestSumBestResponse:
         # Even with huge α the forbidden rule prevents dropping the edge to 3.
         assert 3 in response.strategy
 
+    def test_disconnected_strict_view_reconnects(self):
+        # Full knowledge over two components: the current cost is infinite,
+        # so every reconnecting strategy improves (its ∆ is -inf, which is
+        # not a forbidden move).
+        profile = StrategyProfile({0: frozenset(), 1: frozenset(), 2: {1}})
+        game = SumNCG(0.4)
+        for solve in (best_response_sum_exhaustive, best_response_sum_local_search):
+            response = solve(profile, 0, game)
+            assert response.is_improving
+            # Buying both edges (2α + 1 + 1) beats one edge (α + 1 + 2).
+            assert response.view_cost == pytest.approx(2 * 0.4 + 1 + 1)
+            assert response.strategy == {1, 2}
+
     def test_exhaustive_size_guard(self):
         profile = StrategyProfile.from_owned_graph(owned_star(20))
         game = SumNCG(1.0)

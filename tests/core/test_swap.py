@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.deviations import view_cost
 from repro.core.dynamics import best_response_dynamics
 from repro.core.equilibria import is_equilibrium
 from repro.core.games import FULL_KNOWLEDGE, MaxNCG, SumNCG
@@ -101,6 +102,31 @@ class TestBestLocalMove:
         assert move is not None
         assert move.kind == MoveKind.ADD
         assert delta < 0
+
+    @pytest.mark.parametrize(
+        ("game", "swap_cost", "greedy_cost"),
+        [
+            # Swap 0-1 for 0-3 (2α + distances 1, 1, 2) vs add 0-3 (3α + 1, 1, 1).
+            (SumNCG(alpha=0.4), 2 * 0.4 + 4, 3 * 0.4 + 3),
+            (MaxNCG(alpha=0.4), 2 * 0.4 + 2, 3 * 0.4 + 1),
+        ],
+    )
+    def test_disconnected_strict_view_reconnects(self, game, swap_cost, greedy_cost):
+        # Full knowledge over two components: the current cost is infinite,
+        # so every reconnecting move improves (its ∆ is -inf, which is not a
+        # forbidden move) and the cheapest one is chosen.
+        profile = StrategyProfile({0: {1, 2}, 1: frozenset(), 2: {1}, 3: frozenset()})
+        view = extract_view(profile, 0, game.k)
+        for move_set, kind, cost in (
+            ("swap", MoveKind.SWAP, swap_cost),
+            ("greedy", MoveKind.ADD, greedy_cost),
+        ):
+            move, delta = best_local_move(profile, 0, game, move_set=move_set)
+            assert move is not None and move.kind == kind and 3 in move.added
+            assert delta == -math.inf
+            assert view_cost(view, move.apply(profile.strategy(0)), game) == pytest.approx(cost)
+        assert not is_swap_equilibrium(profile, game)
+        assert not is_greedy_equilibrium(profile, game)
 
     def test_expensive_redundant_edge_deleted(self):
         # A redundant edge in a triangle is dropped when alpha is large.
